@@ -34,11 +34,13 @@
 // "Locked" is called with its receiver's and parameters' annotated
 // mutexes already held (the pruneLocked/keepLocked idiom); branches
 // that end in return do not merge back (the early-unlock-return
-// shape); function literals start in the unknown state, because the
-// analyzer cannot know when they run — they are checked only for
-// locks they take themselves. Both states of a merge disagreeing
-// yields unknown, and unknown never reports: every diagnostic is a
-// definite violation on every path that reaches it.
+// shape); a deferred unlock covers only the paths that registered it,
+// so a defer inside one branch does not excuse its siblings; function
+// literals start in the unknown state, because the analyzer cannot
+// know when they run — they are checked only for locks they take
+// themselves. Both states of a merge disagreeing yields unknown, and
+// unknown never reports: every diagnostic is a definite violation on
+// every path that reaches it.
 //
 // Malformed //lint:guards directives (not on a sync.Mutex/RWMutex
 // field, naming unknown fields, naming no fields, or guarding one
@@ -271,7 +273,7 @@ func seamPacketConn(pass *analysis.Pass) *types.Interface {
 // walkCtx is the state of one function (or literal) walk.
 type walkCtx struct {
 	st       map[string]lockState
-	deferred map[string]bool // keys with a pending deferred unlock
+	deferred map[string]bool // keys with a deferred unlock on every path here
 	dflt     lockState       // state of keys never touched on this unit
 }
 
@@ -297,18 +299,27 @@ func (w *walkCtx) anyHeld() string {
 func (w *walkCtx) clone() *walkCtx {
 	c := &walkCtx{
 		st:       make(map[string]lockState, len(w.st)),
-		deferred: w.deferred, // shared: defers accumulate for the whole unit
+		deferred: make(map[string]bool, len(w.deferred)),
 		dflt:     w.dflt,
 	}
 	for k, v := range w.st {
 		c.st[k] = v
 	}
+	for k := range w.deferred {
+		c.deferred[k] = true
+	}
 	return c
 }
 
 // mergeInto folds other's state into w: agreement survives, conflict
-// becomes unknown.
+// becomes unknown, and a deferred unlock survives only if both paths
+// registered it (a defer inside a branch covers that branch alone).
 func (w *walkCtx) mergeInto(other *walkCtx) {
+	for k := range w.deferred {
+		if !other.deferred[k] {
+			delete(w.deferred, k)
+		}
+	}
 	for k := range other.st {
 		if w.get(k) != other.get(k) {
 			w.set(k, unknown)

@@ -108,3 +108,41 @@ func Reset(fresh *counter) {
 	fresh.closed = false
 	fresh.mu.Unlock()
 }
+
+// BranchDeferLeak defers the unlock only on the branch that returns;
+// the path that skips the branch falls off the end still holding mu.
+// Deferred unlocks are path-sensitive: a defer inside a branch covers
+// that branch's exits, not its siblings'.
+func (c *counter) BranchDeferLeak(cond bool) {
+	c.mu.Lock()
+	if cond {
+		defer c.mu.Unlock()
+		c.n++
+		return
+	}
+	c.n = 2
+} // want `c\.mu falls off the end still held`
+
+// BothArmsDefer defers the unlock on both arms of an if, so the merge
+// keeps it and the shared tail may return while holding mu.
+func (c *counter) BothArmsDefer(cond bool) int {
+	c.mu.Lock()
+	if cond {
+		defer c.mu.Unlock()
+	} else {
+		defer c.mu.Unlock()
+	}
+	return c.n
+}
+
+// OneArmDefer defers the unlock on one arm only, so the return after
+// the merge leaks the lock on the other.
+func (c *counter) OneArmDefer(cond bool) int {
+	c.mu.Lock()
+	if cond {
+		defer c.mu.Unlock()
+	} else {
+		c.n++
+	}
+	return c.n // want `return while c\.mu is held`
+}

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"time"
 
-	"finelb/internal/core"
 	"finelb/internal/membership"
 	"finelb/internal/obs"
 	"finelb/internal/sim"
@@ -161,15 +160,9 @@ func (r *runner) join(id int) bool {
 		ms.peakPool = len(ms.members)
 	}
 	// Attach to the policy indexes with the load it still carries (zero
-	// for a fresh server; outstanding work for a rejoining one).
-	if r.commit != nil {
-		r.commit.Restore(id)
-	}
-	if r.local != nil {
-		for _, li := range r.local {
-			li.Restore(id)
-		}
-	}
+	// for a fresh server; outstanding work for a rejoining one) unless
+	// it is down or paused.
+	r.reindex(id)
 	r.record(id)
 	r.emit("server.join", r.serverActor, id, int64(len(ms.members)), 0)
 	return true
@@ -192,14 +185,7 @@ func (r *runner) drain(id int) bool {
 	ms.drains++
 	ms.mm.Drains.Inc()
 	ms.mm.Pool.Set(int64(len(ms.members)))
-	if r.commit != nil {
-		r.commit.Remove(id)
-	}
-	if r.local != nil {
-		for _, li := range r.local {
-			li.Remove(id)
-		}
-	}
+	r.reindex(id)
 	r.emit("server.drain", r.serverActor, id, int64(len(ms.members)), 0)
 	return true
 }
@@ -275,48 +261,4 @@ func (r *runner) autoscaleTick() {
 		}
 	}
 	r.eng.After(ms.asInterval, ms.asTick)
-}
-
-// handleElastic runs the policy decision over the current members. It
-// mirrors the healthy fixed-pool branch of handle() with the member
-// list as the candidate set; membership and faults never combine, so
-// this is the only elastic dispatch path.
-func (r *runner) handleElastic(a *access) {
-	cfg := &r.cfg
-	members := r.ms.members
-	switch cfg.Policy.Kind {
-	case core.Random:
-		a.srv = members[r.policyRNG.Intn(len(members))]
-		a.pollDur = 0
-		r.dispatch(a)
-
-	case core.RoundRobin:
-		a.srv = members[r.rrs[a.client].Next(len(members))]
-		a.pollDur = 0
-		r.dispatch(a)
-
-	case core.Ideal:
-		// The committed-work index tracks exactly the routable set
-		// (Restore on join, Remove on drain), so Min() is the elastic
-		// JSQ answer directly.
-		best := r.commit.Min()
-		if best < 0 {
-			best = members[r.policyRNG.Intn(len(members))]
-		}
-		a.srv = best
-		a.pollDur = 0
-		r.dispatch(a)
-
-	case core.LocalLeast:
-		best := r.local[a.client].Min()
-		if best < 0 {
-			best = members[r.policyRNG.Intn(len(members))]
-		}
-		a.srv = best
-		a.pollDur = 0
-		r.dispatch(a)
-
-	case core.Poll:
-		r.healthyPoll(a)
-	}
 }

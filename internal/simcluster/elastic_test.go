@@ -1,6 +1,7 @@
 package simcluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"finelb/internal/faults"
 	"finelb/internal/membership"
 	"finelb/internal/obs"
+	"finelb/internal/stats"
 	"finelb/internal/workload"
 )
 
@@ -272,7 +274,7 @@ func TestElasticValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
-		want string
+		want string // error substring; "" expects acceptance
 	}{
 		{
 			"broadcast",
@@ -280,10 +282,11 @@ func TestElasticValidation(t *testing.T) {
 			"Broadcast",
 		},
 		{
+			// Accepted: membership churn and faults compose in one run.
 			"faults combo",
-			Config{Servers: 4, Workload: w, Policy: core.NewRandom(), Membership: sched,
+			Config{Servers: 4, Workload: w, Policy: core.NewRandom(), Membership: sched, Accesses: 2000,
 				Faults: &faults.Schedule{Events: []faults.NodeEvent{{At: 0, Node: 1, Kind: faults.Crash}}}},
-			"Faults",
+			"",
 		},
 		{
 			"autoscaler max below servers",
@@ -307,6 +310,12 @@ func TestElasticValidation(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Run(c.cfg)
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("err = %v, want acceptance", err)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want mention of %q", err, c.want)
 			}
@@ -363,5 +372,126 @@ func TestElasticDispatchZeroAllocs(t *testing.T) {
 				t.Errorf("elastic steady-state dispatch allocates %.4f allocs/event, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestMembershipWithFaults runs churn and faults in one run: a crashed
+// server drains, a member crashes, a server drained while paused
+// resumes, and a server paused before it joins is attached only once it
+// resumes. Every access is accounted for, no dispatch names a server
+// after its drain, and the IDEAL oracle never routes to the drained
+// server its resume revived.
+func TestMembershipWithFaults(t *testing.T) {
+	churn := &membership.Schedule{Events: []membership.Event{
+		{At: 1 * time.Second, Node: 8, Kind: membership.Join},
+		{At: 3 * time.Second, Node: 1, Kind: membership.Drain},
+		{At: 6 * time.Second, Node: 3, Kind: membership.Drain},
+		{At: 7 * time.Second, Node: 9, Kind: membership.Join},
+	}}
+	fs := &faults.Schedule{Seed: 3, Events: []faults.NodeEvent{
+		{At: 2 * time.Second, Node: 1, Kind: faults.Crash},
+		{At: 4 * time.Second, Node: 2, Kind: faults.Crash},
+		{At: 5 * time.Second, Node: 3, Kind: faults.Pause},
+		{At: 6500 * time.Millisecond, Node: 9, Kind: faults.Pause},
+		{At: 8 * time.Second, Node: 3, Kind: faults.Resume},
+		{At: 9 * time.Second, Node: 9, Kind: faults.Resume},
+	}}
+	for _, pol := range []core.Policy{
+		core.NewRandom(), core.NewRoundRobin(), core.NewIdeal(), core.NewLocalLeast(), core.NewPoll(2),
+	} {
+		t.Run(pol.String(), func(t *testing.T) {
+			tr := obs.NewTrace(1 << 17)
+			cfg := Config{
+				Servers: 8, Workload: elasticWorkload(8, 0.7), Policy: pol,
+				Accesses: 6000, Seed: 17, Membership: churn, Faults: fs, Trace: tr,
+			}
+			r, err := newRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.eng.Run()
+			res := r.collect()
+			if r.completed+r.lost != cfg.Accesses || res.Lost != int64(r.lost) {
+				t.Fatalf("completed %d + lost %d (Result.Lost %d) != %d accesses",
+					r.completed, r.lost, res.Lost, cfg.Accesses)
+			}
+			if res.Drains != 2 || res.Joins != 2 || res.FinalPool != 8 {
+				t.Fatalf("drains=%d joins=%d final=%d, want 2/2/8", res.Drains, res.Joins, res.FinalPool)
+			}
+			if tr.Dropped() != 0 {
+				t.Fatalf("trace dropped %d events", tr.Dropped())
+			}
+			drained := map[int]bool{}
+			resumed3 := false
+			dispatched9 := 0
+			for _, ev := range tr.Events() {
+				var id int
+				switch ev.Name {
+				case "server.drain", "server.resume":
+					if _, err := fmt.Sscanf(ev.Actor, "server:%d", &id); err != nil {
+						t.Fatal(err)
+					}
+					if ev.Name == "server.drain" {
+						drained[id] = true
+					} else if id == 3 {
+						resumed3 = true
+					}
+				case "access.dispatch":
+					id = int(ev.A)
+					if drained[id] {
+						t.Fatalf("t=%.6f: access %d dispatched to server %d after its drain", ev.T, ev.B, id)
+					}
+					if id == 3 && resumed3 && pol.Kind == core.Ideal {
+						t.Fatalf("IDEAL picked drained server 3 after its resume")
+					}
+					if id == 9 {
+						dispatched9++
+					}
+				}
+			}
+			if !resumed3 || !drained[1] || !drained[3] {
+				t.Fatalf("schedule did not play out: resumed3=%v drained=%v", resumed3, drained)
+			}
+			if dispatched9 == 0 {
+				t.Errorf("server 9 (joined while paused, then resumed) never received work")
+			}
+		})
+	}
+}
+
+// TestPollSkipsServerDrainedMidRound: a poll round in flight when a
+// polled server drains does not dispatch to it, in the healthy round
+// and in the fault-aware one (an active but harmless link rule). Half-
+// second poll round trips keep about ten rounds in flight at the drain
+// instant, each polling both servers.
+func TestPollSkipsServerDrainedMidRound(t *testing.T) {
+	churn := &membership.Schedule{Events: []membership.Event{
+		{At: 2 * time.Second, Node: 1, Kind: membership.Drain},
+	}}
+	for _, fs := range []*faults.Schedule{nil, {Links: []faults.LinkRule{{Client: -1, Server: -1}}}} {
+		tr := obs.NewTrace(1 << 14)
+		res, err := Run(Config{
+			Servers: 2, Workload: elasticWorkload(2, 0.5), Policy: core.NewPoll(2),
+			PollJitter: stats.Deterministic{Value: 0.5},
+			Accesses:   400, Seed: 1, Membership: churn, Faults: fs, Trace: tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Lost != 0 || tr.Dropped() != 0 {
+			t.Fatalf("faults=%v: lost %d, trace dropped %d", fs.Active(), res.Lost, tr.Dropped())
+		}
+		drained := false
+		for _, ev := range tr.Events() {
+			switch {
+			case ev.Name == "server.drain":
+				drained = true
+			case ev.Name == "access.dispatch" && ev.A == 1 && drained:
+				t.Fatalf("faults=%v: t=%.6f: access %d dispatched to server 1 after its drain", fs.Active(), ev.T, ev.B)
+			}
+		}
+		if !drained {
+			t.Fatal("drain never played out")
+		}
 	}
 }

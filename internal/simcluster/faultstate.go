@@ -16,27 +16,29 @@ import (
 // derived from the schedule's own seed, so the same Schedule and the
 // same Config.Seed replay the exact same run.
 type clientFaults struct {
-	eng     *sim.Engine
-	sched   *faults.Schedule
-	rng     *stats.RNG // link-loss draws and backoff jitter
-	servers int
+	eng   *sim.Engine
+	sched *faults.Schedule
+	rng   *stats.RNG // link-loss draws and backoff jitter
 
 	quarUntil [][]sim.Time // per client, per server
 	strikes   [][]int
 	quarFor   sim.Duration
+	cands     []int // candidates' result scratch
 
 	// onQuarantine, when set, observes every quarantine decision
 	// (metrics/trace hook; it must not mutate fault state).
 	onQuarantine func(client, srv int)
 }
 
+// newClientFaults sizes the per-server state to servers, the largest id
+// space the run can reach.
 func newClientFaults(eng *sim.Engine, sched *faults.Schedule, clients, servers int) *clientFaults {
 	f := &clientFaults{
 		eng:     eng,
 		sched:   sched,
 		rng:     stats.NewRNG(sched.Seed ^ 0x5eedfa017bad5eed),
-		servers: servers,
 		quarFor: sim.FromSeconds(faults.DefaultQuarantineFor.Seconds()),
+		cands:   make([]int, 0, servers),
 	}
 	f.quarUntil = make([][]sim.Time, clients)
 	f.strikes = make([][]int, clients)
@@ -69,19 +71,17 @@ func (f *clientFaults) noteAnswered(client, srv int) {
 	f.quarUntil[client][srv] = 0
 }
 
-// candidates returns the servers this client has not quarantined, or
-// nil when it has quarantined everything.
-func (f *clientFaults) candidates(client int) []int {
+// candidates returns the servers of base this client has not
+// quarantined, in scratch the next call overwrites.
+//
+//lint:noalloc
+func (f *clientFaults) candidates(client int, base []int) []int {
 	now := f.eng.Now()
-	out := make([]int, 0, f.servers)
-	for srv := 0; srv < f.servers; srv++ {
-		if now < f.quarUntil[client][srv] {
-			continue
+	out := f.cands[:0]
+	for _, srv := range base {
+		if now >= f.quarUntil[client][srv] {
+			out = append(out, srv)
 		}
-		out = append(out, srv)
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }

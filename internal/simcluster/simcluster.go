@@ -88,9 +88,8 @@ type Config struct {
 	// Drain/Leave events play out on the simulated clock, growing the
 	// pool past Servers (up to the schedule's MaxNode) or gracefully
 	// shrinking it. An inert schedule takes the fixed-pool fast path
-	// bit for bit. Unsupported with the Broadcast policy and with an
-	// active fault schedule (drain is the planned counterpart of
-	// crash; combine churn kinds in one seam, not two).
+	// bit for bit. Unsupported with the Broadcast policy. It composes
+	// with Faults: a fault event may name any id the pool can reach.
 	Membership *membership.Schedule
 	// Autoscaler, when active, samples the routable pool's load every
 	// policy interval on the simulated clock and applies the resulting
@@ -183,9 +182,6 @@ func (c Config) withDefaults() (Config, error) {
 			// agents run on Every() timers; elastic pools are a polling/
 			// index-policy feature.
 			return c, fmt.Errorf("simcluster: Membership is unsupported with the Broadcast policy")
-		}
-		if c.Faults.Active() {
-			return c, fmt.Errorf("simcluster: Membership and Faults cannot combine in one run")
 		}
 		if c.Autoscaler.Active() && c.Autoscaler.Max < c.Servers {
 			return c, fmt.Errorf("simcluster: autoscaler max pool %d below initial %d servers", c.Autoscaler.Max, c.Servers)
@@ -374,7 +370,8 @@ func (s *serverState) pop() *access {
 }
 
 // runner is one simulated run's full state. One runner serves every
-// run. When the fault schedule is absent or inert
+// run, and every policy decision is one pick over the client's
+// candidate view (see view). When the fault schedule is absent or inert
 // (faults.Schedule.Active() == false), none of the failure machinery is
 // allocated and the run takes exactly the paper model's RNG draws — the
 // golden-seed harness (golden_test.go) pins this bit for bit. With an
@@ -411,11 +408,12 @@ type runner struct {
 	// commit is the IDEAL oracle's committed-work index (nil for other
 	// policies): accurate load indexes acquired free of cost (§2), seen
 	// as committed work, matching the prototype's centralized manager
-	// which increments on assignment. Crashed and paused servers are
-	// detached, so Min() routes around them directly.
+	// which increments on assignment. Only servers that can take new
+	// work are attached (reindex), so Min() routes around the rest.
 	commit *core.LoadIndex
 	// local is the per-client outstanding-access index (LocalLeast
-	// only): the message-free least-connections rule.
+	// only): the message-free least-connections rule. Attached like
+	// commit.
 	local []*core.LoadIndex
 
 	tables []*core.LoadTable
@@ -423,10 +421,12 @@ type runner struct {
 
 	// Poll scratch: pollIdent is the identity permutation PollSet
 	// requires (restored after every call, so it doubles as the
-	// "all servers" candidate list on quarantine-exhausted paths).
+	// fixed pool's candidate view).
 	pollIdent []int
 	pollSwaps []int
 	pollDst   []int
+	// loads is the faulted LocalLeast scan's scratch (nil otherwise).
+	loads []int
 
 	ft *clientFaults
 	ms *memberState // elastic membership (nil on fixed-pool runs)
@@ -692,9 +692,7 @@ func (r *runner) crash(id int) {
 	r.rm.ServerActive.Add(-int64(s.active))
 	s.active = 0
 	r.record(id)
-	if r.commit != nil {
-		r.commit.Remove(id)
-	}
+	r.reindex(id)
 }
 
 // pause freezes server id's processing unit mid-job: the in-service
@@ -710,9 +708,7 @@ func (r *runner) pause(id int) {
 		s.curHandle.Cancel()
 		s.curRemaining = s.curEnd.Sub(r.eng.Now())
 	}
-	if r.commit != nil {
-		r.commit.Remove(id)
-	}
+	r.reindex(id)
 }
 
 // resume unfreezes server id; the suspended access finishes its
@@ -723,9 +719,7 @@ func (r *runner) resume(id int) {
 		return
 	}
 	s.paused = false
-	if r.commit != nil {
-		r.commit.Restore(id)
-	}
+	r.reindex(id)
 	if s.hasCur {
 		a := s.cur
 		s.curEnd = r.eng.Now().Add(s.curRemaining)
@@ -736,6 +730,28 @@ func (r *runner) resume(id int) {
 		if next := s.pop(); next != nil {
 			r.startService(next)
 		}
+	}
+}
+
+// reindex attaches server id to the policy indexes (commit, local)
+// exactly when it can take new work: up, not paused, and routable on an
+// elastic pool. Every change that can flip that predicate — crash,
+// pause, resume, join, drain — calls it, so a drained server that
+// resumes from a pause stays detached. The tracked load survives
+// detachment.
+//
+//lint:noalloc
+func (r *runner) reindex(id int) {
+	s := &r.srv[id]
+	set := (*core.LoadIndex).Remove
+	if !s.down && !s.paused && (r.ms == nil || r.ms.routable[id]) {
+		set = (*core.LoadIndex).Restore
+	}
+	if r.commit != nil {
+		set(r.commit, id)
+	}
+	for _, li := range r.local {
+		set(li, id)
 	}
 }
 
@@ -774,28 +790,21 @@ func (r *runner) newPollCtx(d int) *pollCtx {
 	return c
 }
 
-// healthyPoll is the paper's poll round: every inquiry is answered
-// within its round trip, so the decision closes when the last answer is
-// due (capped uniformly by DefaultPollTimeout and the policy's discard
-// threshold).
+// healthyPoll is the paper's poll round over the candidate view: every
+// inquiry is answered within its round trip, so the decision closes
+// when the last answer is due (capped uniformly by DefaultPollTimeout
+// and the policy's discard threshold).
 //
 //lint:noalloc
-func (r *runner) healthyPoll(a *access) {
+func (r *runner) healthyPoll(a *access, view []int) {
 	cfg := &r.cfg
-	var set []int
-	if r.ms != nil {
-		// Elastic pool: draw the poll set over the routable members.
-		// PollSet picks indices into [0, len(members)); remap in place.
-		set = core.PollSet(r.policyRNG, len(r.ms.members), cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
-		for i := range set {
-			set[i] = r.ms.members[set[i]]
-		}
-	} else {
-		set = core.PollSet(r.policyRNG, cfg.Servers, cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
-	}
+	set := core.PollSet(r.policyRNG, len(view), cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
 	c := r.newPollCtx(len(set))
 	c.a = a
-	c.polled = append(c.polled[:0], set...)
+	c.polled = c.polled[:0]
+	for _, i := range set {
+		c.polled = append(c.polled, view[i])
+	}
 	r.res.Messages.PollRequests += int64(len(c.polled))
 	r.rm.PollRequests.Add(int64(len(c.polled)))
 
@@ -868,24 +877,39 @@ func (r *runner) healthyObserve(c *pollCtx, i int) {
 //lint:noalloc
 func (r *runner) healthyDecide(c *pollCtx) {
 	a := c.a
-	a.srv = core.PickFromPolls(r.policyRNG, c.responses, c.polled)
+	a.srv = r.pickPolled(a.client, c.responses, c.polled)
 	a.pollDur = c.deadline.Sub(a.start)
 	c.a = nil
 	r.freePoll = append(r.freePoll, c)
 	r.dispatch(a)
 }
 
-// pollRound is the fault-aware poll round over the unquarantined
-// candidates: silent servers (crashed, stalled, or behind a lossy
-// link) never answer, so it either dispatches on the answers it got
-// or (after DefaultPollRetries silent rounds) falls back to random.
-func (r *runner) pollRound(a *access, round int, cands []int) {
+// pickPolled closes a poll round on its answers. A server drained
+// while the round was in flight has left the view, so an access the
+// answers would send there goes to a random member of the client's
+// current view instead.
+//
+//lint:noalloc
+func (r *runner) pickPolled(client int, responses []core.PollResponse, polled []int) int {
+	srv := core.PickFromPolls(r.policyRNG, responses, polled)
+	if r.ms != nil && !r.ms.routable[srv] {
+		view, _ := r.view(client)
+		srv = view[r.policyRNG.Intn(len(view))]
+	}
+	return srv
+}
+
+// pollRound is the fault-aware poll round over the client's
+// (unquarantined) view: silent servers (crashed, stalled, or behind a
+// lossy link) never answer, so it either dispatches on the answers it
+// got or (after DefaultPollRetries silent rounds) falls back to random.
+func (r *runner) pollRound(a *access, round int, view []int) {
 	cfg := &r.cfg
 	roundStart := r.eng.Now()
-	set := core.PollSet(r.policyRNG, len(cands), cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
+	set := core.PollSet(r.policyRNG, len(view), cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
 	polled := make([]int, len(set))
-	for i, ci := range set {
-		polled[i] = cands[ci]
+	for i, vi := range set {
+		polled[i] = view[vi]
 	}
 	r.res.Messages.PollRequests += int64(len(polled))
 	r.rm.PollRequests.Add(int64(len(polled)))
@@ -921,23 +945,17 @@ func (r *runner) pollRound(a *access, round int, cands []int) {
 				r.ft.noteSilent(a.client, srv)
 			}
 		}
-		pollDur := r.eng.Now().Sub(a.start)
+		a.pollDur = r.eng.Now().Sub(a.start)
 		if len(responses) > 0 {
-			a.srv = core.PickFromPolls(r.policyRNG, responses, polled)
-			a.pollDur = pollDur
+			a.srv = r.pickPolled(a.client, responses, polled)
 			r.dispatch(a)
 			return
 		}
 		if round >= faults.DefaultPollRetries {
 			// Every round was silence: random fallback among the
 			// servers still believed live (or all, if none).
-			fresh := r.ft.candidates(a.client)
-			if fresh == nil {
-				a.srv = r.policyRNG.Intn(cfg.Servers)
-			} else {
-				a.srv = fresh[r.policyRNG.Intn(len(fresh))]
-			}
-			a.pollDur = pollDur
+			view, _ := r.view(a.client)
+			a.srv = view[r.policyRNG.Intn(len(view))]
 			r.dispatch(a)
 			return
 		}
@@ -945,14 +963,14 @@ func (r *runner) pollRound(a *access, round int, cands []int) {
 		r.rm.Retries.Inc()
 		r.emit("poll.retry", r.clientActor, a.client, int64(round), int64(a.idx))
 		r.eng.After(r.ft.backoff(round), func() {
-			fresh := r.ft.candidates(a.client)
-			if fresh == nil {
-				a.srv = r.policyRNG.Intn(cfg.Servers)
+			view, all := r.view(a.client)
+			if all {
+				a.srv = view[r.policyRNG.Intn(len(view))]
 				a.pollDur = r.eng.Now().Sub(a.start)
 				r.dispatch(a)
 				return
 			}
-			r.pollRound(a, round+1, fresh)
+			r.pollRound(a, round+1, view)
 		})
 	}
 
@@ -1004,116 +1022,93 @@ func (r *runner) pollRound(a *access, round int, cands []int) {
 	r.eng.At(deadline, decide)
 }
 
-// handle runs the policy decision for one access. The healthy branch
-// is the paper's model, draw for draw; the faulted branch filters
-// quarantined servers first.
+// view returns client's candidate view: the base set — the identity
+// over a fixed pool, the routable members of an elastic one — minus
+// the servers the client has quarantined. When the client has
+// quarantined everything it returns the whole base set and all = true.
+// Without faults it is the base set itself. The quarantine-filtered
+// view lives in scratch the next call overwrites.
+//
+//lint:noalloc
+func (r *runner) view(client int) (view []int, all bool) {
+	view = r.pollIdent[:r.cfg.Servers]
+	if r.ms != nil {
+		view = r.ms.members
+	}
+	if r.ft == nil {
+		return view, false
+	}
+	if cands := r.ft.candidates(client, view); len(cands) > 0 {
+		return cands, false
+	}
+	return view, true
+}
+
+// handle runs the policy decision for one access: one pick over the
+// client's candidate view. On a healthy fixed pool the view is the
+// identity, so every pick is the paper's model, draw for draw.
 //
 //lint:noalloc
 func (r *runner) handle(a *access) {
 	cfg := &r.cfg
-	if r.ms != nil {
-		// Elastic pool: route over the current members (elastic.go).
-		// Membership and faults never combine, so the branches are
-		// mutually exclusive.
-		r.handleElastic(a)
-		return
-	}
-	if r.ft == nil {
-		switch cfg.Policy.Kind {
-		case core.Random:
-			a.srv = r.policyRNG.Intn(cfg.Servers)
-			a.pollDur = 0
-			r.dispatch(a)
-
-		case core.RoundRobin:
-			a.srv = r.rrs[a.client].Next(cfg.Servers)
-			a.pollDur = 0
-			r.dispatch(a)
-
-		case core.Ideal:
-			// O(1) via the committed-work index; equal loads go to the
-			// lowest server id (deterministic JSQ).
-			a.srv = r.commit.Min()
-			a.pollDur = 0
-			r.dispatch(a)
-
-		case core.LocalLeast:
-			a.srv = r.local[a.client].Min()
-			a.pollDur = 0
-			r.dispatch(a)
-
-		case core.Broadcast:
-			tbl := r.tables[a.client]
-			srv := tbl.PickLeast(r.policyRNG)
-			if cfg.Policy.LocalCorrection {
-				tbl.Increment(srv)
-			}
-			a.srv = srv
-			a.pollDur = 0
-			r.dispatch(a)
-
-		case core.Poll:
-			r.healthyPoll(a)
-		}
-		return
-	}
-
-	cands := r.ft.candidates(a.client)
-	pickFrom := cands
-	if pickFrom == nil {
-		// Everything quarantined: the full table is all there is.
-		// pollIdent is the identity permutation and every use below
-		// reads it before the next PollSet call can permute it.
-		pickFrom = r.pollIdent[:cfg.Servers]
-	}
+	view, all := r.view(a.client)
+	a.pollDur = 0
 	switch cfg.Policy.Kind {
 	case core.Random:
-		a.srv = pickFrom[r.policyRNG.Intn(len(pickFrom))]
-		a.pollDur = 0
-		r.dispatch(a)
+		a.srv = view[r.policyRNG.Intn(len(view))]
 
 	case core.RoundRobin:
-		a.srv = pickFrom[r.rrs[a.client].Next(len(pickFrom))]
-		a.pollDur = 0
-		r.dispatch(a)
+		a.srv = view[r.rrs[a.client].Next(len(view))]
 
 	case core.Ideal:
-		// The omniscient oracle routes around dead and stalled servers
-		// directly (they are detached from the index); quarantine is
-		// the clients' crutch, not the oracle's.
-		best := r.commit.Min()
-		if best == -1 {
-			best = pickFrom[r.policyRNG.Intn(len(pickFrom))]
+		// O(1) via the committed-work index; equal loads go to the
+		// lowest server id (deterministic JSQ). The omniscient oracle
+		// routes around dead, stalled and drained servers directly
+		// (they are detached); quarantine is the clients' crutch, not
+		// the oracle's.
+		a.srv = r.commit.Min()
+		if a.srv < 0 {
+			a.srv = view[r.policyRNG.Intn(len(view))]
 		}
-		a.srv = best
-		a.pollDur = 0
-		r.dispatch(a)
 
 	case core.LocalLeast:
-		// Candidates vary per client and per access (quarantine), so
-		// this stays a scan over the candidate set, reservoir
-		// tie-breaking like core.PickLeast. Fault scenarios run at
-		// test scale; the 10k-server hot path is the healthy branch.
 		li := r.local[a.client]
-		//lint:allow noalloc fault scenarios run at test scale; the 10k-server hot path is the healthy branch above
-		loads := make([]int, len(pickFrom))
-		for i, srv := range pickFrom {
+		if r.ft == nil {
+			// Without faults the index holds exactly the view.
+			a.srv = li.Min()
+			break
+		}
+		// Quarantine varies the view per client and per access, so this
+		// scans it, reservoir tie-breaking like core.PickLeast.
+		loads := r.loads[:len(view)]
+		for i, srv := range view {
 			loads[i] = li.Load(srv)
 		}
-		a.srv = pickFrom[core.PickLeast(r.policyRNG, loads)]
-		a.pollDur = 0
-		r.dispatch(a)
+		a.srv = view[core.PickLeast(r.policyRNG, loads)]
+
+	case core.Broadcast:
+		// Broadcast runs only on a healthy fixed pool (withDefaults),
+		// whose view is every server the tables cover.
+		tbl := r.tables[a.client]
+		a.srv = tbl.PickLeast(r.policyRNG)
+		if cfg.Policy.LocalCorrection {
+			tbl.Increment(a.srv)
+		}
 
 	case core.Poll:
-		if cands == nil {
+		switch {
+		case all:
 			// All quarantined: skip the pointless poll, go random.
-			a.srv = r.policyRNG.Intn(cfg.Servers)
-			a.pollDur = 0
-			r.dispatch(a)
+			a.srv = view[r.policyRNG.Intn(len(view))]
+		case r.ft != nil:
+			r.pollRound(a, 0, view)
+			return
+		default:
+			r.healthyPoll(a, view)
 			return
 		}
-		r.pollRound(a, 0, cands)
 	}
+	r.dispatch(a)
 }
 
 // newRunner validates cfg and builds the run: engine, RNG streams,
@@ -1183,18 +1178,21 @@ func newRunner(cfg Config) (*runner, error) {
 	// Fault machinery, allocated only for an active schedule: the
 	// healthy path pays nothing and draws nothing extra.
 	if cfg.Faults.Active() {
-		r.ft = newClientFaults(eng, cfg.Faults, cfg.Clients, cfg.Servers)
+		r.ft = newClientFaults(eng, cfg.Faults, cfg.Clients, maxPool)
 		r.ft.onQuarantine = func(client, srv int) {
 			r.rm.Quarantines.Inc()
 			r.emit("client.quarantine", r.clientActor, client, int64(srv), 0)
 		}
-		// Replay node events on the simulated clock.
+		// Replay node events on the simulated clock. On an elastic pool
+		// an event may name a server that has not joined yet; it grows
+		// the pool as an inert placeholder, which join then attaches.
 		for _, ev := range cfg.Faults.Sorted() {
 			ev := ev
-			if ev.Node >= cfg.Servers {
+			if ev.Node >= maxPool {
 				continue
 			}
 			eng.At(sim.Time(sim.FromSeconds(ev.At.Seconds())), func() {
+				r.growTo(ev.Node + 1)
 				switch ev.Kind {
 				case faults.Crash:
 					r.crash(ev.Node)
@@ -1230,6 +1228,9 @@ func newRunner(cfg Config) (*runner, error) {
 	r.pollIdent = core.Identity(maxPool)
 	r.pollSwaps = make([]int, maxPool)
 	r.pollDst = make([]int, maxPool)
+	if r.ft != nil && r.local != nil {
+		r.loads = make([]int, maxPool)
+	}
 
 	// Elastic membership, allocated only for an active schedule or
 	// autoscaler: the fixed-pool path pays nothing and draws nothing.
