@@ -57,11 +57,20 @@ func newConnPool(tr transport.Transport, addr string) *connPool {
 }
 
 func (p *connPool) get() (*pconn, error) {
-	// Acquire a connection slot (bounds total live connections).
+	// Acquire a connection slot (bounds total live connections). The
+	// dial-timeout timer is armed only when no slot is free: under the
+	// module's go 1.22 timer semantics an unstopped timer stays live
+	// until it fires, so one per access would pin heap for 2 s.
 	select {
 	case <-p.slots:
-	case <-time.After(p.dialTimeout):
-		return nil, fmt.Errorf("cluster: no connection slot to %s within %v", p.addr, p.dialTimeout)
+	default:
+		timer := time.NewTimer(p.dialTimeout)
+		select {
+		case <-p.slots:
+			timer.Stop()
+		case <-timer.C:
+			return nil, fmt.Errorf("cluster: no connection slot to %s within %v", p.addr, p.dialTimeout)
+		}
 	}
 	p.mu.Lock()
 	if p.closed {

@@ -25,6 +25,33 @@ func TestConnPoolReusesConnections(t *testing.T) {
 	p.put(pc2)
 }
 
+// TestConnPoolReuseZeroAllocs: checking a warm connection out and back
+// in allocates nothing — in particular no dial-slot timer per access.
+func TestConnPoolReuseZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not stable under -race")
+	}
+	n := startTestNode(t, NodeConfig{ID: 1, Service: "svc"})
+	p := newConnPool(testTransport(t), n.AccessAddr())
+	defer p.closeAll()
+
+	pc, err := p.get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.put(pc)
+	avg := testing.AllocsPerRun(1000, func() {
+		pc, err := p.get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.put(pc)
+	})
+	if avg != 0 {
+		t.Errorf("warm get+put allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
 func TestConnPoolDiscardReleasesSlot(t *testing.T) {
 	n := startTestNode(t, NodeConfig{ID: 1, Service: "svc"})
 	p := newConnPool(testTransport(t), n.AccessAddr())

@@ -460,8 +460,8 @@ func TestMembershipWithFaults(t *testing.T) {
 }
 
 // TestPollSkipsServerDrainedMidRound: a poll round in flight when a
-// polled server drains does not dispatch to it, in the healthy round
-// and in the fault-aware one (an active but harmless link rule). Half-
+// polled server drains does not dispatch to it, on a healthy run and
+// on a faulted one (an active but harmless link rule). Half-
 // second poll round trips keep about ten rounds in flight at the drain
 // instant, each polling both servers.
 func TestPollSkipsServerDrainedMidRound(t *testing.T) {

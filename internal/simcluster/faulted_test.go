@@ -1,6 +1,7 @@
 package simcluster
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -163,5 +164,30 @@ func TestEmptyScheduleBitIdenticalToHealthy(t *testing.T) {
 		healthy.SimDuration != faulted.SimDuration {
 		t.Fatalf("empty-schedule run diverged from healthy:\n%+v\nvs\n%+v",
 			faulted.Messages, healthy.Messages)
+	}
+}
+
+// TestHarmlessFaultScheduleMatchesHealthy: a schedule that is active
+// (so the run carries fault state) but never drops or delays an
+// inquiry reproduces the healthy run bit for bit, events included —
+// the poll round is one round, not a healthy and a fault-aware copy.
+func TestHarmlessFaultScheduleMatchesHealthy(t *testing.T) {
+	w := workload.PoissonExp(workload.PoissonExpServiceMean).ScaledTo(16, 0.8)
+	for _, pol := range []core.Policy{
+		core.NewPoll(2), core.NewPollDiscard(3, 10*time.Millisecond), core.NewPoll(8),
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg := Config{Servers: 16, Workload: w, Policy: pol, Accesses: 12000, Seed: seed}
+			healthy := run(t, cfg)
+			cfg.Faults = &faults.Schedule{Seed: 5, Links: []faults.LinkRule{{Client: -1, Server: -1}}}
+			harmless := run(t, cfg)
+			h, f := digestOf(pol.String(), seed, healthy), digestOf(pol.String(), seed, harmless)
+			if !reflect.DeepEqual(h, f) {
+				t.Errorf("%s seed %d: harmless schedule diverged from healthy\n got %+v\nwant %+v", pol, seed, f, h)
+			}
+			if hd, fd := healthy.Metrics.Digest(), harmless.Metrics.Digest(); hd != fd {
+				t.Errorf("%s seed %d: metrics digest %s, healthy %s", pol, seed, fd, hd)
+			}
+		}
 	}
 }

@@ -58,8 +58,13 @@ func (f *clientFaults) quarantine(client, srv int) {
 }
 
 // noteSilent records one unanswered inquiry; enough consecutive
-// silences put the server on the client's quarantine list.
+// silences put the server on the client's quarantine list. Like
+// noteAnswered and pollFault, it is a no-op on a healthy run's nil
+// state, so the poll round carries no fault branch.
 func (f *clientFaults) noteSilent(client, srv int) {
+	if f == nil {
+		return
+	}
 	f.strikes[client][srv]++
 	if f.strikes[client][srv] >= faults.DefaultQuarantineAfter {
 		f.quarantine(client, srv)
@@ -67,6 +72,9 @@ func (f *clientFaults) noteSilent(client, srv int) {
 }
 
 func (f *clientFaults) noteAnswered(client, srv int) {
+	if f == nil {
+		return
+	}
 	f.strikes[client][srv] = 0
 	f.quarUntil[client][srv] = 0
 }
@@ -88,6 +96,9 @@ func (f *clientFaults) candidates(client int, base []int) []int {
 
 // pollFault decides the fate of one inquiry on the client→srv link.
 func (f *clientFaults) pollFault(client, srv int) (drop bool, delay sim.Duration) {
+	if f == nil {
+		return false, 0
+	}
 	rule, ok := f.sched.Rule(client, srv)
 	if !ok {
 		return false, 0

@@ -3,8 +3,10 @@ package simcluster
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"finelb/internal/core"
+	"finelb/internal/faults"
 	"finelb/internal/workload"
 )
 
@@ -21,19 +23,40 @@ func TestDispatchPathZeroAllocs(t *testing.T) {
 		t.Skip("allocation accounting is not stable under -race")
 	}
 	w := workload.PoissonExp(0.05).ScaledTo(64, 0.8)
-	policies := []core.Policy{
-		core.NewRandom(),
-		core.NewRoundRobin(),
-		core.NewIdeal(),
-		core.NewLocalLeast(),
-		core.NewPoll(2),
-		core.NewPoll(8),
+	// A crash, a pause held across the measured window, and 5% poll
+	// loss: the faulted cases exercise silent slots, quarantine, poll
+	// retries and access re-dispatch.
+	faulty := &faults.Schedule{
+		Seed: 3,
+		Events: []faults.NodeEvent{
+			{At: 2 * time.Second, Node: 3, Kind: faults.Crash},
+			{At: 6 * time.Second, Node: 5, Kind: faults.Pause},
+			{At: 20 * time.Second, Node: 5, Kind: faults.Resume},
+		},
+		Links: []faults.LinkRule{{Client: -1, Server: -1, Loss: 0.05}},
 	}
-	for _, pol := range policies {
-		t.Run(pol.String(), func(t *testing.T) {
+	cases := []struct {
+		pol    core.Policy
+		faults *faults.Schedule
+	}{
+		{core.NewRandom(), nil},
+		{core.NewRoundRobin(), nil},
+		{core.NewIdeal(), nil},
+		{core.NewLocalLeast(), nil},
+		{core.NewPoll(2), nil},
+		{core.NewPoll(8), nil},
+		{core.NewPoll(2), faulty},
+		{core.NewPollDiscard(3, 10*time.Millisecond), faulty},
+	}
+	for _, c := range cases {
+		name := c.pol.String()
+		if c.faults != nil {
+			name = "faulted-" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			r, err := newRunner(Config{
-				Servers: 64, Workload: w, Policy: pol,
-				Accesses: 400000, WarmupFrac: 0.9, Seed: 7,
+				Servers: 64, Workload: w, Policy: c.pol,
+				Accesses: 400000, WarmupFrac: 0.9, Seed: 7, Faults: c.faults,
 			})
 			if err != nil {
 				t.Fatal(err)

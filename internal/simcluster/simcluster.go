@@ -432,7 +432,7 @@ type runner struct {
 	ms *memberState // elastic membership (nil on fixed-pool runs)
 
 	freeAcc  []*access  // recycled access records
-	freePoll []*pollCtx // recycled healthy-poll round contexts
+	freePoll []*pollCtx // recycled poll round contexts
 
 	completed int
 	lost      int
@@ -755,52 +755,73 @@ func (r *runner) reindex(id int) {
 	}
 }
 
-// pollCtx is one healthy poll round's state, pooled like access
-// records: its slices and per-slot observation callbacks are reused
-// across rounds, so a poll-policy access schedules only pooled events
-// with pooled callbacks. The deadline event always fires after every
-// scheduled observation (obsAt <= deadline, and equal times resolve by
-// schedule order), so recycling in the decision callback is safe.
+// pollCtx is one access's poll round (and its fault-aware retries),
+// pooled like access records: its slices and per-slot observation
+// callbacks are reused across rounds, so a poll-policy access schedules
+// only pooled events with pooled callbacks. Every observation is due
+// strictly before the round closes (obsAt < respAt <= close), so
+// recycling in the decision callback is safe.
 type pollCtx struct {
 	a         *access
+	round     int      // retry number, 0 for the first round
+	start     sim.Time // when the round's inquiries go out
 	deadline  sim.Time
 	polled    []int
 	respAt    []sim.Time
+	fate      []slotFate
 	responses []core.PollResponse
 	obsFns    []func() // obsFns[i] observes polled[i] at the server
 	decideFn  func()
+	retryFn   func()
 }
 
-// newPollCtx takes a context from the free-list (or mints one) and
-// ensures it has observation callbacks for d poll slots.
-func (r *runner) newPollCtx(d int) *pollCtx {
-	var c *pollCtx
-	if n := len(r.freePoll); n > 0 {
-		c = r.freePoll[n-1]
-		r.freePoll[n-1] = nil
-		r.freePoll = r.freePoll[:n-1]
-	} else {
-		c = &pollCtx{}
-		c.decideFn = func() { r.healthyDecide(c) }
+// slotFate is what became of one poll slot's inquiry.
+type slotFate uint8
+
+const (
+	slotSilent   slotFate = iota // no answer (yet): in flight, or its server was down or paused
+	slotDropped                  // lost on the link; never reaches the server
+	slotLate                     // due past the close; discarded at round start
+	slotAnswered                 // answered in time
+)
+
+// newPollCtx returns c, or a context from the free-list (or a fresh
+// one) when c is nil, with observation callbacks for d poll slots.
+func (r *runner) newPollCtx(c *pollCtx, d int) *pollCtx {
+	if c == nil {
+		if n := len(r.freePoll); n > 0 {
+			c = r.freePoll[n-1]
+			r.freePoll[n-1] = nil
+			r.freePoll = r.freePoll[:n-1]
+		} else {
+			c = &pollCtx{}
+			c.decideFn = func() { r.pollDecide(c) }
+			c.retryFn = func() { r.pollRetry(c) }
+		}
+		c.round = 0
 	}
 	for i := len(c.obsFns); i < d; i++ {
 		i := i
-		c.obsFns = append(c.obsFns, func() { r.healthyObserve(c, i) })
+		c.obsFns = append(c.obsFns, func() { r.pollObserve(c, i) })
 	}
 	return c
 }
 
-// healthyPoll is the paper's poll round over the candidate view: every
-// inquiry is answered within its round trip, so the decision closes
-// when the last answer is due (capped uniformly by DefaultPollTimeout
-// and the policy's discard threshold).
+// pollRound is the paper's poll round over the candidate view, on c
+// (nil for an access's first round). Every inquiry's fate is drawn up
+// front, in slot order: a link fault may drop it or delay its answer.
+// The round closes when the last answer is due, capped uniformly by
+// DefaultPollTimeout and the policy's discard threshold; a dropped
+// inquiry holds it open to that deadline. A healthy run has no fault
+// state, so every inquiry is answered and no fault draw is taken.
 //
 //lint:noalloc
-func (r *runner) healthyPoll(a *access, view []int) {
+func (r *runner) pollRound(a *access, c *pollCtx, view []int) {
 	cfg := &r.cfg
 	set := core.PollSet(r.policyRNG, len(view), cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
-	c := r.newPollCtx(len(set))
+	c = r.newPollCtx(c, len(set))
 	c.a = a
+	c.start = r.eng.Now()
 	c.polled = c.polled[:0]
 	for _, i := range set {
 		c.polled = append(c.polled, view[i])
@@ -808,77 +829,142 @@ func (r *runner) healthyPoll(a *access, view []int) {
 	r.res.Messages.PollRequests += int64(len(c.polled))
 	r.rm.PollRequests.Add(int64(len(c.polled)))
 
-	// Sample each poll's round trip up front; the response value
-	// is observed at the server halfway through.
-	c.respAt = c.respAt[:0]
-	var latest sim.Time
-	for range c.polled {
-		rtt := cfg.PollRTT
-		if cfg.PollJitter != nil {
-			rtt += sim.FromSeconds(cfg.PollJitter.Sample(r.jitterRNG))
-		}
-		respAt := a.start.Add(rtt)
-		c.respAt = append(c.respAt, respAt)
-		if respAt > latest {
-			latest = respAt
-		}
-	}
-	deadline := latest
-	if dl := a.start.Add(DefaultPollTimeout); dl < deadline {
-		deadline = dl
-	}
+	c.deadline = c.start.Add(DefaultPollTimeout)
 	if d := cfg.Policy.DiscardAfter; d > 0 {
-		if dl := a.start.Add(sim.FromSeconds(d.Seconds())); dl < deadline {
-			deadline = dl
+		if dl := c.start.Add(sim.FromSeconds(d.Seconds())); dl < c.deadline {
+			c.deadline = dl
 		}
 	}
-	c.deadline = deadline
-	c.responses = c.responses[:0]
+	closeAt := c.start // the last answer due, capped by the deadline
+	c.respAt, c.fate, c.responses = c.respAt[:0], c.fate[:0], c.responses[:0]
+	for _, srv := range c.polled {
+		fate, resp := slotSilent, c.deadline
+		if drop, extra := r.ft.pollFault(a.client, srv); drop {
+			r.rm.InquiriesDropped.Inc()
+			fate = slotDropped
+		} else {
+			rtt := cfg.PollRTT + extra
+			if cfg.PollJitter != nil {
+				rtt += sim.FromSeconds(cfg.PollJitter.Sample(r.jitterRNG))
+			}
+			resp = c.start.Add(rtt)
+		}
+		c.respAt = append(c.respAt, resp)
+		c.fate = append(c.fate, fate)
+		if resp > closeAt {
+			closeAt = resp
+		}
+	}
+	if closeAt > c.deadline {
+		closeAt = c.deadline
+	}
 	for i, srv := range c.polled {
 		resp := c.respAt[i]
-		if resp > deadline {
+		switch {
+		case c.fate[i] == slotDropped:
+		case resp > closeAt:
+			c.fate[i] = slotLate
 			r.res.Messages.PollsDiscarded++
-			// In the healthy model every server answers; a discarded
-			// inquiry's answer arrives past the deadline, so it is
-			// both a discard and a late answer (prototype semantics).
 			r.rm.PollDiscards.Inc()
-			r.rm.PollLate.Inc()
-			r.rm.InquiriesServed.Inc() // the server did answer, just late
-			r.rm.PollRTTSeconds.Observe(resp.Sub(a.start).Seconds())
 			r.emit("poll.discard", r.clientActor, a.client, int64(srv), int64(a.idx))
-			continue
+			// A live server answers a discarded inquiry past the close,
+			// so it is both a discard and a late answer (prototype
+			// semantics).
+			if s := &r.srv[srv]; !s.down && !s.paused {
+				r.rm.PollLate.Inc()
+				r.rm.InquiriesServed.Inc()
+				r.rm.PollRTTSeconds.Observe(resp.Sub(c.start).Seconds())
+			}
+		default:
+			// The inquiry reaches the server halfway through its round
+			// trip, and its load is observed there.
+			r.eng.At(resp.Add(-sim.Duration(resp.Sub(c.start)/2)), c.obsFns[i])
 		}
-		// Observe the server's load index when the inquiry
-		// reaches it (half the round trip in).
-		obsAt := resp.Add(-sim.Duration((resp.Sub(a.start)) / 2))
-		r.eng.At(obsAt, c.obsFns[i])
 	}
-	r.eng.At(deadline, c.decideFn)
+	r.eng.At(closeAt, c.decideFn)
 }
 
-// healthyObserve is poll slot i's observation event: the inquiry
-// reaches the server and reads its load index; the answer lands back
-// at the client at respAt[i] (within the deadline by construction).
+// pollObserve is poll slot i's observation event: the inquiry reaches
+// the server and reads its load index; the answer lands back at the
+// client at respAt[i], within the close by construction. A crashed or
+// stalled server never answers.
 //
 //lint:noalloc
-func (r *runner) healthyObserve(c *pollCtx, i int) {
+func (r *runner) pollObserve(c *pollCtx, i int) {
 	srv := c.polled[i]
-	c.responses = append(c.responses, core.PollResponse{
-		Server: srv, Load: r.srv[srv].active,
-	})
+	if s := &r.srv[srv]; s.down || s.paused {
+		r.rm.InquiriesDropped.Inc()
+		return
+	}
+	c.fate[i] = slotAnswered
+	c.responses = append(c.responses, core.PollResponse{Server: srv, Load: r.srv[srv].active})
 	r.res.Messages.PollResponses++
 	r.rm.PollResponses.Inc()
 	r.rm.InquiriesServed.Inc()
-	r.rm.PollRTTSeconds.Observe(c.respAt[i].Sub(c.a.start).Seconds())
+	r.rm.PollRTTSeconds.Observe(c.respAt[i].Sub(c.start).Seconds())
 }
 
-// healthyDecide closes the round at the deadline and dispatches.
+// pollDecide closes the round and dispatches on its answers. A round
+// with a silent slot stays open until the deadline. With no answers at
+// all, a faulted run backs off and polls again, up to
+// faults.DefaultPollRetries times, then falls back to random.
 //
 //lint:noalloc
-func (r *runner) healthyDecide(c *pollCtx) {
+func (r *runner) pollDecide(c *pollCtx) {
 	a := c.a
-	a.srv = r.pickPolled(a.client, c.responses, c.polled)
-	a.pollDur = c.deadline.Sub(a.start)
+	if len(c.responses) < len(c.polled) && r.eng.Now() < c.deadline {
+		r.eng.At(c.deadline, c.decideFn)
+		return
+	}
+	for i, srv := range c.polled {
+		switch c.fate[i] {
+		case slotAnswered:
+			r.ft.noteAnswered(a.client, srv)
+			continue
+		case slotSilent, slotDropped:
+			r.res.Messages.PollsDiscarded++
+			r.rm.PollDiscards.Inc()
+			r.emit("poll.discard", r.clientActor, a.client, int64(srv), int64(a.idx))
+		}
+		r.ft.noteSilent(a.client, srv)
+	}
+	switch {
+	case len(c.responses) > 0 || r.ft == nil:
+		r.pollDone(c, r.pickPolled(a.client, c.responses, c.polled))
+	case c.round >= faults.DefaultPollRetries:
+		// Every round was silence: random fallback among the servers
+		// still believed live (or all, if none).
+		view, _ := r.view(a.client)
+		r.pollDone(c, view[r.policyRNG.Intn(len(view))])
+	default:
+		r.res.Retries++
+		r.rm.Retries.Inc()
+		r.emit("poll.retry", r.clientActor, a.client, int64(c.round), int64(a.idx))
+		r.eng.After(r.ft.backoff(c.round), c.retryFn)
+	}
+}
+
+// pollRetry is a silent round's backoff expiring: poll the client's
+// current view again, or go random when it has quarantined everything.
+//
+//lint:noalloc
+func (r *runner) pollRetry(c *pollCtx) {
+	view, all := r.view(c.a.client)
+	if all {
+		r.pollDone(c, view[r.policyRNG.Intn(len(view))])
+		return
+	}
+	c.round++
+	r.pollRound(c.a, c, view)
+}
+
+// pollDone recycles c and dispatches its access to srv.
+//
+//lint:noalloc
+func (r *runner) pollDone(c *pollCtx, srv int) {
+	a := c.a
+	a.srv = srv
+	a.pollDur = r.eng.Now().Sub(a.start)
 	c.a = nil
 	r.freePoll = append(r.freePoll, c)
 	r.dispatch(a)
@@ -897,129 +983,6 @@ func (r *runner) pickPolled(client int, responses []core.PollResponse, polled []
 		srv = view[r.policyRNG.Intn(len(view))]
 	}
 	return srv
-}
-
-// pollRound is the fault-aware poll round over the client's
-// (unquarantined) view: silent servers (crashed, stalled, or behind a
-// lossy link) never answer, so it either dispatches on the answers it
-// got or (after DefaultPollRetries silent rounds) falls back to random.
-func (r *runner) pollRound(a *access, round int, view []int) {
-	cfg := &r.cfg
-	roundStart := r.eng.Now()
-	set := core.PollSet(r.policyRNG, len(view), cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
-	polled := make([]int, len(set))
-	for i, vi := range set {
-		polled[i] = view[vi]
-	}
-	r.res.Messages.PollRequests += int64(len(polled))
-	r.rm.PollRequests.Add(int64(len(polled)))
-
-	deadline := roundStart.Add(DefaultPollTimeout)
-	if da := cfg.Policy.DiscardAfter; da > 0 {
-		if dl := roundStart.Add(sim.FromSeconds(da.Seconds())); dl < deadline {
-			deadline = dl
-		}
-	}
-
-	responses := make([]core.PollResponse, 0, len(polled))
-	answered := make(map[int]bool, len(polled))
-
-	// decide closes the round — either when the last answer arrives
-	// (the client has all it asked for) or at the deadline, whichever
-	// comes first.
-	decided := false
-	decide := func() {
-		if decided {
-			return
-		}
-		decided = true
-		r.res.Messages.PollsDiscarded += int64(len(polled) - len(responses))
-		r.rm.PollDiscards.Add(int64(len(polled) - len(responses)))
-		if n := len(polled) - len(responses); n > 0 {
-			r.emit("poll.discard", r.clientActor, a.client, int64(n), int64(round))
-		}
-		for _, srv := range polled {
-			if answered[srv] {
-				r.ft.noteAnswered(a.client, srv)
-			} else {
-				r.ft.noteSilent(a.client, srv)
-			}
-		}
-		a.pollDur = r.eng.Now().Sub(a.start)
-		if len(responses) > 0 {
-			a.srv = r.pickPolled(a.client, responses, polled)
-			r.dispatch(a)
-			return
-		}
-		if round >= faults.DefaultPollRetries {
-			// Every round was silence: random fallback among the
-			// servers still believed live (or all, if none).
-			view, _ := r.view(a.client)
-			a.srv = view[r.policyRNG.Intn(len(view))]
-			r.dispatch(a)
-			return
-		}
-		r.res.Retries++
-		r.rm.Retries.Inc()
-		r.emit("poll.retry", r.clientActor, a.client, int64(round), int64(a.idx))
-		r.eng.After(r.ft.backoff(round), func() {
-			view, all := r.view(a.client)
-			if all {
-				a.srv = view[r.policyRNG.Intn(len(view))]
-				a.pollDur = r.eng.Now().Sub(a.start)
-				r.dispatch(a)
-				return
-			}
-			r.pollRound(a, round+1, view)
-		})
-	}
-
-	for _, srv := range polled {
-		srv := srv
-		drop, extra := r.ft.pollFault(a.client, srv)
-		if drop {
-			r.rm.InquiriesDropped.Inc()
-			continue // lost datagram: pure silence until the deadline
-		}
-		rtt := cfg.PollRTT + extra
-		if cfg.PollJitter != nil {
-			rtt += sim.FromSeconds(cfg.PollJitter.Sample(r.jitterRNG))
-		}
-		respAt := roundStart.Add(rtt)
-		if respAt > deadline {
-			continue // answer would arrive too late; discarded
-		}
-		// The inquiry reaches the server halfway through the round
-		// trip; a crashed or stalled server never answers it. A live
-		// server's load is observed there, and the answer lands back
-		// at the client at respAt.
-		obsAt := respAt.Add(-sim.Duration((respAt.Sub(roundStart)) / 2))
-		r.eng.At(obsAt, func() {
-			s := &r.srv[srv]
-			if s.down || s.paused {
-				r.rm.InquiriesDropped.Inc()
-				return
-			}
-			load := s.active
-			r.rm.InquiriesServed.Inc()
-			r.eng.At(respAt, func() {
-				if decided {
-					r.rm.PollLate.Inc() // answer landed after the round closed
-					return
-				}
-				responses = append(responses, core.PollResponse{Server: srv, Load: load})
-				answered[srv] = true
-				r.res.Messages.PollResponses++
-				r.rm.PollResponses.Inc()
-				r.rm.PollRTTSeconds.Observe(respAt.Sub(roundStart).Seconds())
-				if len(responses) == len(polled) {
-					decide()
-				}
-			})
-		})
-	}
-
-	r.eng.At(deadline, decide)
 }
 
 // view returns client's candidate view: the base set — the identity
@@ -1096,17 +1059,12 @@ func (r *runner) handle(a *access) {
 		}
 
 	case core.Poll:
-		switch {
-		case all:
-			// All quarantined: skip the pointless poll, go random.
-			a.srv = view[r.policyRNG.Intn(len(view))]
-		case r.ft != nil:
-			r.pollRound(a, 0, view)
-			return
-		default:
-			r.healthyPoll(a, view)
+		if !all {
+			r.pollRound(a, nil, view)
 			return
 		}
+		// All quarantined: skip the pointless poll, go random.
+		a.srv = view[r.policyRNG.Intn(len(view))]
 	}
 	r.dispatch(a)
 }
